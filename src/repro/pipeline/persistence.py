@@ -6,21 +6,37 @@ top-N lists without refitting any model:
 ``spec.json``
     The declarative :class:`~repro.pipeline.spec.PipelineSpec`.
 ``split.npz``
-    The exact train/test interaction arrays (dense indices), so exclusion
-    masks and evaluation run against the very same split.
+    The exact train/test interaction arrays (dense indices) and the raw id
+    maps, so exclusion masks and evaluation run against the very same split
+    and later deltas resolve raw ids to the same users and items.  Id lists
+    of one type are stored as typed arrays; mixed-type lists as JSON, so
+    every id loads back with the type it was saved with.
 ``state.npz``
-    Every fitted array of the accuracy recommender (namespaced as
-    ``recommender/<attribute>``) plus the fitted preference vector ``theta``.
+    The fitted state of the accuracy recommender (namespaced as
+    ``recommender.<attribute>``) plus the fitted preference vector ``theta``.
+    Only state that cannot be rebuilt cheaply is stored: caches and derived
+    arrays are rebuilt at load time.
 ``manifest.json``
     Scalar component state, class names for integrity checks, and the
     format version.
 
+Both ``.npz`` files are written uncompressed (``np.savez``): the arrays are
+small once caches are left out, and zlib over them cost far more time than
+the bytes it saved, in every save and every load.  ``np.load`` reads
+compressed archives too, so directories written with ``np.savez_compressed``
+still load.
+
 Component state is harvested generically: numpy arrays and scipy sparse
 matrices go to the ``.npz``, plain scalars go to the manifest, and anything
 else is rejected loudly (a component holding un-persistable state should
-override what it stores, not be silently half-saved).  Coverage recommenders
-are *not* persisted — their fit is a cheap, deterministic state
-initialization that re-runs at load time.
+override what it stores, not be silently half-saved).  A component chooses
+what it stores through one optional pair of methods: ``_persisted_state()``
+returns the attributes to store (default: all instance attributes), and
+``_restore_persisted_state()`` runs after they are set back, to rebuild
+what was left out.  :class:`~repro.parallel.handles.ComponentHandle` ships
+the same state to process workers.  Coverage recommenders are *not*
+persisted — their fit is a cheap, deterministic state initialization that
+re-runs at load time.
 """
 
 from __future__ import annotations
@@ -51,12 +67,14 @@ _COVERAGE_STATE_MARKER = "__coverage_state__"
 # Generic component state
 # --------------------------------------------------------------------------- #
 def component_state(component: object) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
-    """Split a component's instance attributes into (arrays, scalar meta)."""
+    """Split a component's persisted attributes into (arrays, scalar meta)."""
     from repro.coverage.state import CoverageState
 
+    persisted = getattr(component, "_persisted_state", None)
+    attributes = persisted() if persisted is not None else vars(component)
     arrays: dict[str, np.ndarray] = {}
     meta: dict[str, Any] = {}
-    for name, value in vars(component).items():
+    for name, value in attributes.items():
         if name in _SKIPPED_ATTRIBUTES:
             continue
         if value is None:
@@ -109,16 +127,32 @@ def restore_component_state(
         if "::" in name:
             continue  # part of a sparse matrix restored above
         setattr(component, name, value)
+    restore = getattr(component, "_restore_persisted_state", None)
+    if restore is not None:
+        restore()
 
 
 # --------------------------------------------------------------------------- #
 # Split persistence
 # --------------------------------------------------------------------------- #
-def _ids_array(ids: Any) -> np.ndarray:
-    array = np.asarray(list(ids))
-    if array.dtype == object:
-        array = array.astype(str)
-    return array
+def _ids_payload(key: str, ids: Any) -> dict[str, np.ndarray]:
+    """Raw ids as one typed array, or as JSON when their types are mixed.
+
+    ``np.asarray`` casts a mixed int/str list to strings, and a stringified
+    integer id no longer matches the integer a later delta names, so mixed
+    lists are stored as JSON, which keeps each id's type.
+    """
+    ids = [raw.item() if isinstance(raw, np.generic) else raw for raw in ids]
+    array = np.asarray(ids)
+    if len({type(raw) for raw in ids}) <= 1 and array.ndim == 1 and array.dtype != object:
+        return {key: array}
+    return {f"{key}_json": np.str_(json.dumps(ids))}
+
+
+def _load_ids(payload: Any, key: str) -> list[object]:
+    if f"{key}_json" in payload.files:
+        return json.loads(str(payload[f"{key}_json"]))
+    return payload[key].tolist()
 
 
 def _dataset_arrays(dataset: RatingDataset, prefix: str) -> dict[str, np.ndarray]:
@@ -130,7 +164,7 @@ def _dataset_arrays(dataset: RatingDataset, prefix: str) -> dict[str, np.ndarray
 
 
 def save_split_npz(split: TrainTestSplit, path: str | Path) -> Path:
-    """Write a train/test split as one compressed ``.npz`` file."""
+    """Write a train/test split as one uncompressed ``.npz`` file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -138,12 +172,12 @@ def save_split_npz(split: TrainTestSplit, path: str | Path) -> Path:
         **_dataset_arrays(split.test, "test"),
         "n_users": np.int64(split.train.n_users),
         "n_items": np.int64(split.train.n_items),
-        "user_ids": _ids_array(split.train.user_ids),
-        "item_ids": _ids_array(split.train.item_ids),
+        **_ids_payload("user_ids", split.train.user_ids),
+        **_ids_payload("item_ids", split.train.item_ids),
         "train_name": np.str_(split.train.name),
         "test_name": np.str_(split.test.name),
     }
-    np.savez_compressed(path, **payload)
+    np.savez(path, **payload)
     return path
 
 
@@ -154,8 +188,8 @@ def load_split_npz(path: str | Path) -> TrainTestSplit:
         with np.load(path, allow_pickle=False) as payload:
             n_users = int(payload["n_users"])
             n_items = int(payload["n_items"])
-            user_ids = payload["user_ids"].tolist()
-            item_ids = payload["item_ids"].tolist()
+            user_ids = _load_ids(payload, "user_ids")
+            item_ids = _load_ids(payload, "item_ids")
 
             def build(prefix: str, name: str) -> RatingDataset:
                 """Rebuild one side of the split from its prefixed arrays."""

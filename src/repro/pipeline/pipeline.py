@@ -372,7 +372,7 @@ class Pipeline:
         if self._model is not None:
             state["theta"] = self._model.theta
             manifest["preference"] = {"name": self._preference_name()}
-        np.savez_compressed(directory / _STATE_FILE, **state)
+        np.savez(directory / _STATE_FILE, **state)
         write_json(manifest, directory / _MANIFEST_FILE)
         return directory
 

@@ -117,13 +117,11 @@ class ItemKNN(Recommender):
         self.n_projections = None if n_projections is None else int(n_projections)
         self.n_candidates = int(n_candidates)
         self.seed = 0 if seed is None else seed
-        # Delta refits reuse the cached gram, which only the exact float64
-        # path maintains (and whose bit-identity guarantee is stated in
-        # float64 terms).
+        # Delta refits are stated (and tested) as bit-identity with a fresh
+        # exact float64 fit; the other modes refit from scratch.
         self.supports_delta_refit = self.exact and self.dtype == "float64"
         self.similarity_: np.ndarray | sparse.csr_matrix | None = None
         self._abs_similarity: np.ndarray | sparse.csr_matrix | None = None
-        self._gram: np.ndarray | None = None
 
     @property
     def _np_dtype(self) -> type:
@@ -131,12 +129,7 @@ class ItemKNN(Recommender):
         return _SCORE_DTYPES[self.dtype]
 
     def _finalize(self, gram: np.ndarray, n_items: int) -> None:
-        """Normalize + sparsify a gram matrix into the similarity state.
-
-        Shared by :meth:`fit` and :meth:`delta_refit` so both walk the exact
-        same float operations — the delta path's byte-identity guarantee
-        reduces to its gram entries matching the from-scratch product.
-        """
+        """Normalize + sparsify a gram matrix into the similarity state."""
         norms = np.sqrt(np.diag(gram))
         denom = np.outer(norms, norms) + self.shrinkage
         denom[denom == 0.0] = 1.0
@@ -150,12 +143,32 @@ class ItemKNN(Recommender):
                 if np.count_nonzero(row) > self.k:
                     threshold = np.partition(row, -self.k)[-self.k]
                     row[row < threshold] = 0.0
-        # The raw gram is kept (and persisted) so appended interactions can
-        # be absorbed by recomputing only the touched rows/columns.
-        self._gram = gram
         self.similarity_ = similarity
         # Cached for the batched score path's weight-mass product.
         self._abs_similarity = np.abs(similarity)
+
+    def _persisted_state(self) -> dict[str, object]:
+        """The attributes persistence stores (see ``component_state``).
+
+        ``_abs_similarity`` is derived and rebuilt on restore.  The exact
+        path's dense similarity is top-``k`` pruned, hence mostly zeros, so
+        it is stored as its CSR triple; it holds no signed zeros (the gram
+        product accumulates from ``+0.0`` and pruning writes ``+0.0``), so
+        densifying restores it byte-equal.
+        """
+        state = dict(vars(self))
+        state.pop("_abs_similarity", None)
+        if isinstance(self.similarity_, np.ndarray):
+            state["similarity_"] = sparse.csr_matrix(self.similarity_)
+        return state
+
+    def _restore_persisted_state(self) -> None:
+        """Rebuild what :meth:`_persisted_state` left out."""
+        # Pipelines saved before the gram cache was dropped still carry it.
+        vars(self).pop("_gram", None)
+        if self.exact and sparse.issparse(self.similarity_):
+            self.similarity_ = self.similarity_.toarray()
+        self._abs_similarity = None if self.similarity_ is None else abs(self.similarity_)
 
     def fit(self, train: RatingDataset) -> "ItemKNN":
         """Compute the item-item cosine similarity matrix (dense or sparse)."""
@@ -219,7 +232,6 @@ class ItemKNN(Recommender):
             shape=(n_items, n_items),
         )
         similarity.eliminate_zeros()
-        self._gram = None
         self.similarity_ = similarity
         self._abs_similarity = abs(similarity)
 
@@ -322,21 +334,17 @@ class ItemKNN(Recommender):
         return kept_rows, kept_cols, kept_values
 
     def delta_refit(self, train: RatingDataset) -> "ItemKNN":
-        """Recompute only the gram rows/columns of items touched by the delta.
+        """Absorb appended interactions by refitting the exact gram.
 
-        Appended interactions change the rating-matrix columns of exactly
-        the items they mention, so only gram rows/columns of those items
-        move; both are recomputed with *restricted* sparse products
-        (``Mᵀ[touched] @ M`` and ``Mᵀ @ M[:, touched]``), which scipy
-        evaluates with the same per-entry accumulation order as the full
-        product — the refreshed entries are bit-identical to a from-scratch
-        gram (asserted in ``tests/test_incremental.py``).  Normalization and
-        top-k sparsification then rerun in full: touched norms change every
-        denominator they appear in, so no similarity row can be assumed
-        stable, but that pass is dense O(|I|²) — the expensive sparse matmul
-        is what the delta avoids.  Only the exact float64 mode supports
-        deltas: the ANN path has no gram to patch, and the bit-identity
-        contract is stated in float64.
+        Any appended rating moves its item's norm, and with it every
+        similarity denominator that norm appears in, so no similarity row
+        survives a delta that touches an item.  The refit therefore reruns
+        :meth:`fit`'s gram product and normalization — bit-identical to a
+        fresh fit by construction (asserted in ``tests/test_incremental.py``).
+        A pure cold-start delta (new users without ratings) moves no
+        rating-matrix column, so the fitted similarity is kept and only the
+        train reference moves.  Only the exact float64 mode supports deltas:
+        the bit-identity contract is stated in float64 terms.
         """
         self._check_fitted()
         if not self.supports_delta_refit:
@@ -345,35 +353,15 @@ class ItemKNN(Recommender):
                 f"(exact={self.exact}, dtype={self.dtype!r}); refit from "
                 "scratch instead"
             )
-        if self._gram is None:
-            raise ConfigurationError(
-                "this ItemKNN has no cached gram matrix (saved before delta "
-                "support was added); refit from scratch instead"
-            )
+        assert self.similarity_ is not None
         _, delta_items, _ = self._delta_interactions(train)
-        n_items = train.n_items
-        gram = self._gram
-        if n_items > gram.shape[0]:
-            grown = np.zeros((n_items, n_items), dtype=np.float64)
-            grown[: gram.shape[0], : gram.shape[0]] = gram
-            gram = grown
-        touched = np.unique(delta_items)
-        self.delta_changed_state = bool(touched.size) or n_items != self._gram.shape[0]
+        self.delta_changed_state = (
+            bool(delta_items.size) or train.n_items != self.similarity_.shape[0]
+        )
         if not self.delta_changed_state:
-            # Pure user growth (cold-start arrivals): no rating-matrix
-            # column moved and no item appeared, so the gram, similarity
-            # and top-k state are already bitwise what a fresh fit would
-            # produce — only the train reference needs updating.
             self._mark_fitted(train)
             return self
-        if touched.size:
-            matrix = train.to_csc().astype(np.float64)
-            transpose = matrix.T  # CSR view: rows are item columns of M
-            gram[touched, :] = (transpose[touched] @ matrix).toarray()
-            gram[:, touched] = (transpose @ matrix[:, touched]).toarray()
-        self._finalize(gram, n_items)
-        self._mark_fitted(train)
-        return self
+        return self.fit(train)
 
     def predict_scores(self, user: int, items: np.ndarray) -> np.ndarray:
         """Similarity-weighted average of the user's ratings."""

@@ -9,6 +9,8 @@ extended dataset.  The property tests mirror the incremental-coverage suite
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,7 +221,6 @@ class TestDeltaRefit:
 
         incremental = ItemKNN(k=6).fit(train).delta_refit(grown)
         scratch = ItemKNN(k=6).fit(grown)
-        np.testing.assert_array_equal(incremental._gram, scratch._gram)
         np.testing.assert_array_equal(incremental.similarity_, scratch.similarity_)
         np.testing.assert_array_equal(
             incremental.recommend_all(5).items, scratch.recommend_all(5).items
@@ -261,28 +262,76 @@ class TestDeltaRefit:
         with pytest.raises(ConfigurationError, match="extension"):
             model.delta_refit(shrunk)
 
-    def test_itemknn_without_cached_gram_refuses(self, train):
-        model = ItemKNN(k=6).fit(train)
-        model._gram = None  # a pipeline saved before delta support existed
-        with pytest.raises(ConfigurationError, match="gram"):
-            model.delta_refit(train.extend([0], [0], [1.0]))
-
-    def test_itemknn_gram_survives_pipeline_persistence(self, tmp_path, train):
+    @staticmethod
+    def _itemknn_pipeline(train):
         split = RatioSplitter(0.5, seed=11).split(train)
         spec = PipelineSpec(
             recommender=ComponentSpec("itemknn", params={"k": 6}),
             evaluation=EvaluationSpec(n=5),
             seed=0,
         )
-        Pipeline(spec).fit(split).save(tmp_path / "pipe")
-        loaded = Pipeline.load(tmp_path / "pipe")
-        assert loaded.recommender._gram is not None
-        grown = split.train.extend([0, 1], [2, 3], [1.0, 1.0])
-        loaded.recommender.delta_refit(grown)
-        scratch = ItemKNN(k=6).fit(grown)
-        np.testing.assert_array_equal(
-            loaded.recommender.similarity_, scratch.similarity_
+        return Pipeline(spec).fit(split)
+
+    def test_itemknn_loads_pipeline_saved_with_gram_cache(self, tmp_path, train):
+        # The earlier on-disk layout: zlib-compressed archives, the dense
+        # similarity stored as is, plus the ``_gram`` and ``_abs_similarity``
+        # caches.  It must still load, serve the same rows, and shed both
+        # caches on its next save.
+        fitted = self._itemknn_pipeline(train)
+        directory = tmp_path / "old"
+        fitted.save(directory)
+        model = fitted.recommender
+        matrix = fitted.split.train.to_csc()
+        np.savez_compressed(
+            directory / "state.npz",
+            **{
+                "recommender.similarity_": model.similarity_,
+                "recommender._abs_similarity": np.abs(model.similarity_),
+                "recommender._gram": (matrix.T @ matrix).toarray(),
+            },
         )
+        with np.load(directory / "split.npz") as payload:
+            split_arrays = {name: payload[name] for name in payload.files}
+        np.savez_compressed(directory / "split.npz", **split_arrays)
+        manifest = json.loads((directory / "manifest.json").read_text())
+        del manifest["recommender"]["meta"]["similarity_"]
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+
+        loaded = Pipeline.load(directory)
+        assert loaded.recommend_all().items.tobytes() == fitted.recommend_all().items.tobytes()
+        assert (
+            loaded.recommender.predict_matrix().tobytes()
+            == fitted.recommender.predict_matrix().tobytes()
+        )
+        assert not hasattr(loaded.recommender, "_gram")
+
+        loaded.save(tmp_path / "resaved")
+        with np.load(tmp_path / "resaved" / "state.npz") as payload:
+            names = payload.files
+        assert not any("_gram" in name or "_abs_similarity" in name for name in names)
+
+    def test_itemknn_delta_after_pipeline_round_trip_equals_fit(self, tmp_path, train):
+        self._itemknn_pipeline(train).save(tmp_path / "pipe")
+        loaded = Pipeline.load(tmp_path / "pipe")
+        grown = loaded.split.train.extend([0, 1], [2, 3], [1.0, 1.0])
+        refitted = loaded.recommender.delta_refit(grown)
+        scratch = ItemKNN(k=6).fit(grown)
+        assert refitted.delta_changed_state
+        assert refitted.similarity_.tobytes() == scratch.similarity_.tobytes()
+        assert refitted._abs_similarity.tobytes() == scratch._abs_similarity.tobytes()
+        assert refitted.predict_matrix().tobytes() == scratch.predict_matrix().tobytes()
+
+    def test_itemknn_cold_start_delta_keeps_similarity(self, train):
+        model = ItemKNN(k=6).fit(train)
+        before = model.similarity_
+        grown = train.extend(
+            np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0),
+            n_users=N_USERS + 3,
+        )
+        model.delta_refit(grown)
+        assert model.delta_changed_state is False
+        assert model.similarity_ is before
+        assert model.train_data is grown
 
 
 # --------------------------------------------------------------------------- #

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.coverage.dynamic import DynamicCoverage
+from repro.data import RatingDataset, TrainTestSplit
 from repro.evaluation.evaluator import Evaluator
 from repro.exceptions import ConfigurationError, DataFormatError, NotFittedError
 from repro.ganc.framework import GANC, GANCConfig
+from repro.parallel import ComponentHandle
 from repro.pipeline import (
     ComponentSpec,
     DatasetSpec,
@@ -17,6 +22,7 @@ from repro.pipeline import (
     PipelineSpec,
     ganc_spec,
 )
+from repro.pipeline.persistence import load_split_npz, save_split_npz
 from repro.preferences.generalized import GeneralizedPreference
 from repro.recommenders.puresvd import PureSVD
 from repro.recommenders.registry import make_recommender
@@ -174,6 +180,70 @@ def test_bare_pipeline_save_load(tmp_path, small_split):
     pipeline.save(tmp_path / "bare")
     reloaded = Pipeline.load(tmp_path / "bare")
     assert np.array_equal(reloaded.recommend_all().items, expected.items)
+
+
+def _itemknn_arrays(model) -> list[tuple[str, np.dtype, bytes]]:
+    """Type, dtype and bytes of ItemKNN's scoring state (CSR as its triple)."""
+    out = []
+    for matrix in (model.similarity_, model._abs_similarity):
+        if sparse.issparse(matrix):
+            parts = (matrix.data, matrix.indices, matrix.indptr)
+            out.append(("csr", matrix.dtype, b"|".join(p.tobytes() for p in parts)))
+        else:
+            out.append(("dense", matrix.dtype, matrix.tobytes()))
+    return out
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_itemknn_state_round_trips_byte_equal(tmp_path, small_split, exact):
+    spec = PipelineSpec(
+        recommender=ComponentSpec("itemknn", params={"k": 8, "exact": exact}), seed=0
+    )
+    pipeline = Pipeline(spec).fit(small_split)
+    model = pipeline.recommender
+    expected = _itemknn_arrays(model)
+    assert expected[0][0] == ("dense" if exact else "csr")
+
+    pipeline.save(tmp_path / "pipe")
+    with np.load(tmp_path / "pipe" / "state.npz") as payload:
+        assert not any("_abs_similarity" in name for name in payload.files)
+    assert _itemknn_arrays(Pipeline.load(tmp_path / "pipe").recommender) == expected
+
+    handle = pickle.loads(pickle.dumps(ComponentHandle.capture(model)))
+    assert not any("_abs_similarity" in name for name in handle.arrays)
+    assert _itemknn_arrays(handle.restore()) == expected
+
+
+def test_mixed_type_raw_ids_round_trip(tmp_path, small_split):
+    n_users = small_split.train.n_users
+    user_ids = [f"u{u}" if u % 3 == 0 else u for u in range(n_users)]
+    user_ids[1] = np.int64(1)
+    split = TrainTestSplit(
+        train=_with_user_ids(small_split.train, user_ids),
+        test=_with_user_ids(small_split.test, user_ids),
+    )
+    save_split_npz(split, tmp_path / "split.npz")
+    loaded = load_split_npz(tmp_path / "split.npz")
+    restored = loaded.train.user_ids
+    assert restored == user_ids
+    assert [type(raw) for raw in restored] == [
+        str if u % 3 == 0 else int for u in range(n_users)
+    ]
+    assert loaded.train.item_ids == small_split.train.item_ids
+    assert type(loaded.train.item_ids[0]) is int
+
+
+def _with_user_ids(dataset, user_ids):
+    return RatingDataset(
+        dataset.user_indices,
+        dataset.item_indices,
+        dataset.ratings,
+        n_users=dataset.n_users,
+        n_items=dataset.n_items,
+        user_ids=user_ids,
+        item_ids=dataset.item_ids,
+        name=dataset.name,
+    )
 
 
 def test_load_rejects_mismatched_recommender_class(tmp_path, small_split):

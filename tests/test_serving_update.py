@@ -43,6 +43,7 @@ from repro.serving import (
     build_server,
     compile_artifact,
     compile_artifact_update,
+    ingest_and_update,
     load_manifest,
     refit_pipeline,
     start_async_in_thread,
@@ -285,6 +286,35 @@ class TestUpdateValidation:
         )
         with pytest.raises(ConfigurationError, match="fitted"):
             compile_artifact_update(Pipeline(_bare_spec("pop")), artifact_dir)
+
+
+# --------------------------------------------------------------------------- #
+# Raw ids across repeated deltas
+# --------------------------------------------------------------------------- #
+def test_mixed_raw_id_deltas_keep_id_maps_duplicate_free(tmp_path, small_split):
+    # Integer base ids, then a delta whose arrivals have string ids, then
+    # integer deltas: every saved id must load back with its own type, or
+    # the later integer ids miss the map and duplicate their users.
+    pipeline_dir = tmp_path / "pipeline"
+    artifact_dir = tmp_path / "artifact"
+    Pipeline(_bare_spec("itemknn")).fit(small_split).save(pipeline_dir)
+    compile_artifact(pipeline_dir, artifact_dir, shard_size=16)
+    n_users = small_split.train.n_users
+    deltas = [
+        "0,1,4.0\nnew0_1,2,5.0\nnew0_2,3,1.0\n",
+        "1,2,3.5\n5,0,5.0\nnew0_1,4,2.0\n",
+        f"2,4,1.0\n{n_users + 7},0,5.0\n",
+    ]
+    for number, text in enumerate(deltas):
+        delta = tmp_path / f"delta{number}.csv"
+        delta.write_text(text)
+        ingest_and_update(pipeline_dir, artifact_dir, delta)
+
+    user_ids = Pipeline.load(pipeline_dir).split.train.user_ids
+    assert len(user_ids) == len(set(user_ids)) == n_users + 3
+    assert user_ids[:n_users] == list(range(n_users))
+    assert user_ids[n_users:] == ["new0_1", "new0_2", n_users + 7]
+    assert load_manifest(artifact_dir)["n_users"] == n_users + 3
 
 
 # --------------------------------------------------------------------------- #
